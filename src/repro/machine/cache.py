@@ -36,8 +36,18 @@ Exactness of the split rests on two facts: replacement state is
 touches in a chunk cannot install, hence cannot evict, hence its
 residency is frozen for the chunk. Recency bookkeeping for calm sets
 is scattered into a dense ``last_use`` overlay array; the authoritative
-per-line stamp is reconciled as ``max(line stamp, overlay stamp)``,
-which is exact because the access clock is monotonic.
+per-line stamp is ``max(line stamp, overlay stamp)``, which is exact
+because the access clock is monotonic and every access, scalar or
+batch, gets its own stamp.
+
+Replay keeps each set's dict in replacement order, so the victim is
+its first key: under LRU every touch moves the line to the end, and
+under FIFO insertion order is install order. Calm-path recency lives
+only in the overlay, so on the first eviction a set needs in one
+replay call its dict is re-sorted once by effective stamp. That is
+exact because the overlay is written only after a chunk's replays and
+every touch inside the call stamps a later position than any overlay
+value.
 """
 
 from __future__ import annotations
@@ -208,7 +218,9 @@ class CacheSim:
         self.assoc = config.associativity
         # One dict per set: tag (= global line id) -> _Line. Recency is
         # carried by the monotonic access clock stamped into each line;
-        # the replacement victim is the minimum effective stamp.
+        # the replacement victim is the minimum effective stamp. Batch
+        # replay additionally keeps each dict in that order (first key
+        # = victim); the scalar path leaves the order alone.
         self._sets: Tuple[Dict[int, _Line], ...] = tuple(
             {} for _ in range(self.n_sets)
         )
@@ -252,6 +264,13 @@ class CacheSim:
             if overlay > stamp:
                 return overlay
         return stamp
+
+    def _by_recency(self, cache_set: Dict[int, _Line]
+                    ) -> List[Tuple[int, _Line]]:
+        """A set's ``(tag, line)`` pairs from stalest to most recent
+        effective stamp: the order the next evictions take."""
+        return sorted(cache_set.items(),
+                      key=lambda kv: self._effective_last_use(*kv))
 
     # ------------------------------------------------------------------
     # core scalar access path (the oracle)
@@ -476,6 +495,11 @@ class CacheSim:
         if use_bitmap:
             self._ensure_residency(hi)
             self._ensure_lu_overlay(hi // self.sectors_per_line)
+        else:
+            # Generic replay must not index the bitmap with sectors
+            # outside it; drop it, and the next bitmap-mode batch
+            # rebuilds it from the lines.
+            self._res_bitmap = None
         res_out = dirty_out = None
         if watch is not None:
             n_watched = int(watch.sum())
@@ -485,7 +509,9 @@ class CacheSim:
                 self._ensure_dirty(hi)
                 self._dirty_active = True
         wbase = 0
-        t0 = self._clock
+        # The scalar path stamps ``clock + 1`` onwards, so the batch
+        # does too: every access gets a stamp of its own.
+        t0 = self._clock + 1
         hits = 0
         lru = self.policy == "lru"
         spl = self.sectors_per_line
@@ -616,11 +642,11 @@ class CacheSim:
                     s_lines, _mod(s_lines, self.n_sets))
                 if later is not None:
                     self._apply_dirty(chunk[later], later_w, None)
-            # Recency scatter strictly AFTER the replays: an in-chunk
-            # eviction scan must never observe stamps of touches that
+            # Recency scatter strictly AFTER the replays: a replay's
+            # victim order must never observe stamps of touches that
             # come later in program order than the eviction point.
             self._scatter_recency(lines, t0 + start)
-        self._clock = t0 + sec.size
+        self._clock = t0 + sec.size - 1
         self.stats_hits += hits
         if watch is not None:
             self._dirty_active = False
@@ -708,6 +734,11 @@ class CacheSim:
         lru = self.policy == "lru"
         bitmap = self._res_bitmap
         dbitmap = self._dirty_bitmap if self._dirty_active else None
+        # Victim clears skip lines the bitmaps leave out (beyond
+        # BITMAP_SECTOR_LIMIT or negative).
+        bsize = 0 if bitmap is None else bitmap.size
+        dsize = 0 if dbitmap is None else dbitmap.size
+        synced = set()
         assoc = self.assoc
         granule = self.granule
         hits = 0
@@ -731,6 +762,8 @@ class CacheSim:
                 hits += ln
                 if lru:
                     line.last_use = lp
+                    del cache_set[tag]
+                    cache_set[tag] = line
                 if anyw:
                     line.dirty_mask |= bit
                     if dbitmap is not None:
@@ -742,26 +775,28 @@ class CacheSim:
             hits += ln - 1
             if line is None:
                 if len(cache_set) >= assoc:
-                    victim_tag = min(
-                        cache_set,
-                        key=lambda t: self._effective_last_use(
-                            t, cache_set[t]),
-                    )
+                    if st not in synced:
+                        # Fold in calm-path recency from the overlay;
+                        # from here on this call keeps the order.
+                        synced.add(st)
+                        ordered = self._by_recency(cache_set)
+                        cache_set.clear()
+                        cache_set.update(ordered)
+                    victim_tag = next(iter(cache_set))
                     victim = cache_set.pop(victim_tag)
                     mask = victim.dirty_mask
                     while mask:
                         mask &= mask - 1
                         writebacks += 1
-                    if bitmap is not None:
+                    vbase = victim_tag * spl
+                    if 0 <= vbase < bsize:
                         vmask = victim.valid_mask
-                        vbase = victim_tag * spl
                         while vmask:
                             low = vmask & -vmask
                             bitmap[vbase + low.bit_length() - 1] = False
                             vmask ^= low
-                    if dbitmap is not None:
+                    if 0 <= vbase < dsize:
                         dmask = victim.dirty_mask
-                        vbase = victim_tag * spl
                         while dmask:
                             low = dmask & -dmask
                             dbitmap[vbase + low.bit_length() - 1] = False
@@ -771,6 +806,8 @@ class CacheSim:
                 cache_set[tag] = line
             elif lru:
                 line.last_use = lp
+                del cache_set[tag]
+                cache_set[tag] = line
             fetches += 1
             line.valid_mask |= bit
             if anyw:
@@ -845,50 +882,44 @@ class CacheSim:
         reflects the current line state."""
         needed = max_sector + 1
         bitmap = self._res_bitmap
-        if bitmap is None or self._res_stale or bitmap.size < needed:
-            capacity = max(needed,
-                           2 * (bitmap.size if bitmap is not None else 0))
-            if bitmap is not None and not self._res_stale:
-                grown = np.zeros(capacity, dtype=bool)
-                grown[:bitmap.size] = bitmap
-                self._res_bitmap = grown
-                return
-            bitmap = np.zeros(capacity, dtype=bool)
-            spl = self.sectors_per_line
-            for cache_set in self._sets:
-                for tag, line in cache_set.items():
-                    vmask = line.valid_mask
-                    base = tag * spl
-                    while vmask:
-                        low = vmask & -vmask
-                        bitmap[base + low.bit_length() - 1] = True
-                        vmask ^= low
-            self._res_bitmap = bitmap
+        if self._res_stale or bitmap is None:
+            self._res_bitmap = self._line_bitmap(needed, "valid_mask")
             self._res_stale = False
+        elif bitmap.size < needed:
+            grown = np.zeros(max(needed, 2 * bitmap.size), dtype=bool)
+            grown[:bitmap.size] = bitmap
+            self._res_bitmap = grown
 
     def _ensure_dirty(self, max_sector: int) -> None:
-        """Rebuild the dirty bitmap from line state, sized to cover
-        both ``max_sector`` and every currently-dirty line (so
-        eviction clears during the watched batch never index out of
-        range). Unlike the residency bitmap it is not kept fresh
-        between batches — each watched batch rebuilds it, keeping
-        every unwatched path free of maintenance cost."""
+        """Rebuild the dirty bitmap from line state. Unlike the
+        residency bitmap it is not kept fresh between batches — each
+        watched batch rebuilds it, keeping every unwatched path free of
+        maintenance cost."""
+        self._dirty_bitmap = self._line_bitmap(max_sector + 1, "dirty_mask")
+
+    def _line_bitmap(self, size: int, mask_attr: str) -> np.ndarray:
+        """A bitmap over sector ids with the ``mask_attr`` sectors of
+        every resident line set, sized to at least ``size`` and to
+        every such line inside ``[0, BITMAP_SECTOR_LIMIT)``, so
+        eviction clears during the next batch stay in range. Lines
+        outside that window are left out: bitmap-mode batches never
+        touch them, and replay skips their victim clears."""
         spl = self.sectors_per_line
-        top = max_sector + 1
+        tag_limit = BITMAP_SECTOR_LIMIT // spl
+        marked = []
         for cache_set in self._sets:
             for tag, line in cache_set.items():
-                if line.dirty_mask:
-                    top = max(top, (tag + 1) * spl)
-        bitmap = np.zeros(top, dtype=bool)
-        for cache_set in self._sets:
-            for tag, line in cache_set.items():
-                dmask = line.dirty_mask
-                base = tag * spl
-                while dmask:
-                    low = dmask & -dmask
-                    bitmap[base + low.bit_length() - 1] = True
-                    dmask ^= low
-        self._dirty_bitmap = bitmap
+                mask = getattr(line, mask_attr)
+                if mask and 0 <= tag < tag_limit:
+                    marked.append((tag * spl, mask))
+                    size = max(size, (tag + 1) * spl)
+        bitmap = np.zeros(size, dtype=bool)
+        for base, mask in marked:
+            while mask:
+                low = mask & -mask
+                bitmap[base + low.bit_length() - 1] = True
+                mask ^= low
+        return bitmap
 
     def _ensure_lu_overlay(self, max_tag: int) -> None:
         needed = max_tag + 1
@@ -993,12 +1024,8 @@ class CacheSim:
         out: Dict[int, List[Tuple[int, int, int]]] = {}
         for idx, cache_set in enumerate(self._sets):
             if cache_set:
-                ordered = sorted(
-                    cache_set.items(),
-                    key=lambda kv: self._effective_last_use(kv[0], kv[1]),
-                )
                 out[idx] = [(tag, line.valid_mask, line.dirty_mask)
-                            for tag, line in ordered]
+                            for tag, line in self._by_recency(cache_set)]
         return out
 
     def reset_traffic(self) -> TrafficCounters:

@@ -38,6 +38,10 @@ from repro.machine.cache import CacheSim, expand_to_sectors
 from repro.machine.config import CacheConfig
 
 SMALL = CacheConfig(capacity_bytes=64 * 1024)
+# Tiny, low-associativity geometry: nearly every chunk evicts.
+THRASH = CacheConfig(capacity_bytes=4 * 1024, associativity=2)
+# One set, two ways: victim choice is fully determined by recency.
+ONE_SET = CacheConfig(capacity_bytes=256, associativity=2)
 
 
 def full_state(sim):
@@ -76,17 +80,18 @@ trace_strategy = st.lists(
 class TestBatchDifferential:
     @given(trace=trace_strategy,
            policy=st.sampled_from(["lru", "fifo"]),
-           chunk=st.integers(7, 101))
+           chunk=st.integers(7, 101),
+           cfg=st.sampled_from([SMALL, THRASH]))
     @settings(max_examples=60, deadline=None)
-    def test_batch_matches_scalar_oracle(self, trace, policy, chunk):
+    def test_batch_matches_scalar_oracle(self, trace, policy, chunk, cfg):
         addr = np.array([t[0] for t in trace], dtype=np.int64)
         size = np.array([t[1] for t in trace], dtype=np.int64)
         w = np.array([t[2] for t in trace], dtype=bool)
         byp = np.array([t[3] for t in trace], dtype=bool) & w
 
-        oracle = CacheSim(SMALL, policy=policy)
+        oracle = CacheSim(cfg, policy=policy)
         scalar_replay(oracle, addr, size, w, byp)
-        batch = CacheSim(SMALL, policy=policy)
+        batch = CacheSim(cfg, policy=policy)
         batch.access_batch(addr, size, w, byp, chunk_size=chunk)
         assert full_state(batch) == full_state(oracle)
 
@@ -110,14 +115,16 @@ class TestBatchDifferential:
         assert full_state(batch) == full_state(oracle)
 
     @given(seed=st.integers(0, 2**32 - 1),
-           policy=st.sampled_from(["lru", "fifo"]))
+           policy=st.sampled_from(["lru", "fifo"]),
+           cfg=st.sampled_from([SMALL, THRASH]))
     @settings(max_examples=15, deadline=None)
-    def test_mixed_scalar_batch_interleaving(self, seed, policy):
+    def test_mixed_scalar_batch_interleaving(self, seed, policy, cfg):
         # Alternating scalar and batch phases exercises the residency
-        # bitmap staleness protocol (scalar misses invalidate it).
+        # bitmap staleness protocol (scalar misses invalidate it) and
+        # the recency stamps the two paths hand each other.
         rng = np.random.default_rng(seed)
-        oracle = CacheSim(SMALL, policy=policy)
-        mixed = CacheSim(SMALL, policy=policy)
+        oracle = CacheSim(cfg, policy=policy)
+        mixed = CacheSim(cfg, policy=policy)
         for phase in range(4):
             n = 300
             addr = rng.integers(0, 150_000, n)
@@ -137,7 +144,7 @@ class TestBatchDifferential:
     def test_thrashing_cache_forces_evictions(self):
         # Tiny, low-associativity cache: every chunk evicts, driving
         # the turbulent full-replay classification.
-        cfg = CacheConfig(capacity_bytes=4 * 1024, associativity=2)
+        cfg = THRASH
         rng = np.random.default_rng(3)
         n = 4000
         addr = rng.integers(0, 256 * 1024, n)
@@ -150,6 +157,75 @@ class TestBatchDifferential:
             batch = CacheSim(cfg, policy=policy)
             batch.access_batch(addr, size, w, chunk_size=256)
             assert full_state(batch) == full_state(oracle)
+
+    def test_scalar_then_batch_stamps_do_not_collide(self):
+        # Scalar B, scalar A, batched B, scalar C: the batched touch
+        # makes B more recent than A, so C must evict A.
+        a, b, c = 0, 128, 256
+        oracle = CacheSim(ONE_SET)
+        mixed = CacheSim(ONE_SET)
+        for addr in (b, a, b, c):
+            oracle.access(addr, 8, False)
+        mixed.access(b, 8, False)
+        mixed.access(a, 8, False)
+        mixed.access_batch(np.array([b]), np.array([8]), np.array([False]))
+        mixed.access(c, 8, False)
+        assert full_state(mixed) == full_state(oracle)
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_replay_folds_in_calm_path_recency(self, policy):
+        # With chunk_size=2 the middle chunk [A, A] is calm, so A's
+        # refresh lives only in the recency overlay; the replay of
+        # [C, C] must still see it and (under LRU) evict B.
+        a, b, c = 0, 128, 256
+        trace = np.array([a, b, a, a, c, c], dtype=np.int64)
+        size = np.full(trace.size, 8)
+        w = np.zeros(trace.size, dtype=bool)
+        oracle = CacheSim(ONE_SET, policy=policy)
+        scalar_replay(oracle, trace, size, w, w)
+        batch = CacheSim(ONE_SET, policy=policy)
+        batch.access_batch(trace, size, w, chunk_size=2)
+        assert full_state(batch) == full_state(oracle)
+
+    @pytest.mark.parametrize("batches", [
+        # generic-path line above the window, then a bitmap rebuild
+        ((1 << 33,), (0,)),
+        # bitmap exists, then a generic-path batch above the window
+        ((0,), (1 << 33,)),
+        # a negative sector must not wrap onto sector 127's bit
+        ((0, 8192), (-128,), (8128,)),
+    ])
+    def test_residency_bitmap_and_addresses_outside_it(self, batches):
+        oracle = CacheSim(SMALL)
+        batch = CacheSim(SMALL)
+        for addrs in batches:
+            for addr in addrs:
+                oracle.access(addr, 8, False)
+            n = len(addrs)
+            batch.access_batch(np.array(addrs), np.full(n, 8),
+                               np.zeros(n, dtype=bool))
+        assert full_state(batch) == full_state(oracle)
+
+    @pytest.mark.parametrize("probed", [False, True])
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_evicting_lines_outside_the_bitmap(self, policy, probed):
+        # Both ways hold dirty lines above 4 GiB; batching address 0
+        # evicts one of them, whose sectors neither bitmap covers.
+        high = [(1 << 33) + 128 * k for k in range(2)]
+        oracle = CacheSim(ONE_SET, policy=policy)
+        batch = CacheSim(ONE_SET, policy=policy)
+        for addr in high:
+            oracle.access(addr, 8, True)
+        batch.access_batch(np.array(high), np.full(2, 8), np.ones(2, bool))
+        oracle.access(0, 8, False)
+        one = (np.array([0]), np.array([8]), np.array([False]))
+        if probed:
+            rows, res, dirty = batch.access_batch_probed(*one, watch=[0])
+            assert rows.tolist() == [0]
+            assert (res.tolist(), dirty.tolist()) == ([False], [False])
+        else:
+            batch.access_batch(*one)
+        assert full_state(batch) == full_state(oracle)
 
     def test_expand_to_sectors_matches_manual_split(self):
         addr = np.array([0, 60, 127, 128, 1000], dtype=np.int64)
