@@ -834,7 +834,54 @@ class CacheSim:
         return hits, order[wsorted], res_pre, dirty_pre
 
     # -- bypassed stores (write-combining buffer) ----------------------
-    def _bypass_batch(self, c_addr: np.ndarray, c_size: np.ndarray) -> None:
+    def bypass_batch_probed(self, addr, size, watch) -> np.ndarray:
+        """Gather a columnar trace of bypassed stores through the
+        write-combining buffer exactly like :meth:`access_batch` with
+        an all-True ``bypass`` column, while counting, for every row
+        index in ``watch``, the sectors that row completes.
+
+        Returns one count per unique watched row, in row order. A
+        sector counts when the bytes :meth:`wcb_gathered_bytes` would
+        have reported for it immediately *before* the row, plus the
+        row's chunk of it, reach the granule — the sampling observer's
+        per-sample walk, for a whole segment in one call. The buffer
+        ends in the identical state either way.
+        """
+        addr = np.ascontiguousarray(addr, dtype=np.int64)
+        size = np.ascontiguousarray(size, dtype=np.int64)
+        n = addr.size
+        if size.size != n:
+            raise SimulationError(
+                "bypass_batch_probed columns must have equal lengths")
+        watch = np.unique(np.asarray(watch, dtype=np.int64))
+        if watch.size and (watch[0] < 0 or watch[-1] >= n):
+            raise SimulationError("watch row indices out of range")
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        if int(size.min()) <= 0:
+            raise SimulationError(
+                f"access size must be positive, got {int(size.min())}")
+        rows = np.arange(n, dtype=np.int64)
+        c_addr, c_size, _, c_rows = expand_to_sectors(
+            addr, size, np.ones(n, dtype=bool), rows, self.granule)
+        if not watch.size:
+            self._bypass_batch(c_addr, c_size)
+            return np.empty(0, dtype=np.int64)
+        loc = np.searchsorted(watch, c_rows)
+        np.clip(loc, 0, watch.size - 1, out=loc)
+        c_watch = watch[loc] == c_rows
+        done = self._bypass_batch(c_addr, c_size, c_rows, c_watch)
+        # Every watched row has at least one entry, in row order.
+        w_rows = c_rows[c_watch]
+        first = np.empty(w_rows.size, dtype=bool)
+        first[0] = True
+        np.not_equal(w_rows[1:], w_rows[:-1], out=first[1:])
+        return np.add.reduceat(done.astype(np.int64), np.flatnonzero(first))
+
+    def _bypass_batch(self, c_addr: np.ndarray, c_size: np.ndarray,
+                      c_rows: Optional[np.ndarray] = None,
+                      watch: Optional[np.ndarray] = None
+                      ) -> Optional[np.ndarray]:
         """Feed bypassed store chunks through the WCB, coalescing runs
         of consecutive same-sector stores.
 
@@ -844,6 +891,17 @@ class CacheSim:
         replays through the scalar WCB logic, so semantics (including
         partial-sector loss on over-accumulation and oldest-entry
         overflow drains) are preserved exactly.
+
+        With ``watch`` (a boolean mask over the entries; ``c_rows``
+        gives each entry's row) also returns, per watched entry in
+        entry order, whether it completes its sector judged against
+        the buffer state before its *row*. A closed-form run starts
+        empty, so an entry's prior fill is the exclusive in-run prefix
+        sum of sizes modulo the granule; fallback runs read the buffer
+        as they go. The two differ from a pre-row read only when a
+        row's entry opens a buffer entry whose overflow drain evicts
+        a later sector of the same row: that sector's pre-row fill is
+        the drained value.
         """
         granule = self.granule
         sec_addr = _floordiv(c_addr, granule) * granule
@@ -858,6 +916,10 @@ class CacheSim:
         size_max = np.maximum.reduceat(c_size, starts)
         wcb = self._wcb
         emitted = 0
+        if watch is not None:
+            before = np.cumsum(c_size) - c_size
+            pre = _mod(before - np.repeat(before[starts], lengths), granule)
+            drained: Dict[int, int] = {}
         for i, (sa, st, ln, tot, mn, mx) in enumerate(zip(
                 sec_addr[starts].tolist(), starts.tolist(),
                 lengths.tolist(), totals.tolist(),
@@ -871,10 +933,29 @@ class CacheSim:
                 rem = tot % granule
                 if rem:
                     wcb[sa] = rem
-            else:
+            elif watch is None or not watch[st:st + ln].any():
                 for sz in c_size[st:st + ln].tolist():
                     self._bypass_store(sa, sz)
+            else:
+                for k in range(st, st + ln):
+                    if not watch[k]:
+                        self._bypass_store(sa, int(c_size[k]))
+                        continue
+                    pre[k] = wcb.get(sa, 0)
+                    oldest = next(iter(wcb), None)
+                    fill = wcb.get(oldest, 0)
+                    self._bypass_store(sa, int(c_size[k]))
+                    if oldest is None or oldest <= sa or oldest in wcb:
+                        continue
+                    j = k + (oldest - sa) // granule
+                    if j < n and c_rows[j] == c_rows[k]:
+                        drained[j] = fill
         self.traffic.write_bytes += emitted * granule
+        if watch is None:
+            return None
+        for j, fill in drained.items():
+            pre[j] = fill
+        return (pre + c_size >= granule)[watch]
 
     # -- residency / recency maintenance -------------------------------
     def _ensure_residency(self, max_sector: int) -> None:

@@ -60,10 +60,12 @@ Both are exact at period 1 and converge with sample rate
 The replay has two implementations with bit-identical results. The
 default *vectorized* path collects a whole segment's trigger rows up
 front — array-drawn from the same RNG streams as the scalar path,
-draw for draw — and replays the segment through a single
-:meth:`~repro.machine.cache.CacheSim.access_batch_probed` call (plus
-write-combining slices between bypassed-store samples, a plane that
-is state-independent of the cache). The *scalar* path
+draw for draw — and replays the segment in two state-independent
+planes, one call each: the cached rows through
+:meth:`~repro.machine.cache.CacheSim.access_batch_probed` and the
+bypassed stores through
+:meth:`~repro.machine.cache.CacheSim.bypass_batch_probed`, with the
+sample rows as their watch sets. The *scalar* path
 (``vectorized=False``) replays slice-by-slice and probes each sample
 row individually; it is kept as the differential oracle, and the
 vectorized path falls back to it per segment when a row spans
@@ -87,7 +89,8 @@ from ..engine.envconfig import (
 )
 from ..engine.stream import BatchTrace, StreamDecl, resolve_policies
 from ..errors import SimulationError
-from ..machine.cache import CacheSim, TrafficCounters, expand_to_sectors
+from ..machine.cache import CacheSim, TrafficCounters
+from ..machine.cache import expand_to_sectors  # noqa: F401 — re-exported
 from ..machine.config import CacheConfig
 from ..machine.store import SoftwarePrefetch, StorePolicy
 from ..rng import substream
@@ -109,6 +112,12 @@ CHANNEL_ACCESS = 0
 CHANNEL_STORE = 1
 
 DEFAULT_MAX_RECORDS = 1 << 16
+
+#: Sample record columns and their dtypes.
+_RECORD_DTYPES = (("row", np.int64), ("addr", np.int64),
+                  ("size", np.int64), ("stream_id", np.int16),
+                  ("is_write", bool), ("level", np.uint8),
+                  ("channel", np.uint8))
 
 
 @dataclasses.dataclass
@@ -141,7 +150,8 @@ class SamplingConfig:
     skid_jitter: Optional[int] = None
     #: Root seed for the trigger/skid random streams.
     seed: Optional[int] = None
-    #: Per-sample records kept before dropping (drops are counted).
+    #: Per-sample records kept before dropping (drops are counted);
+    #: the record columns are preallocated to this length.
     max_records: int = DEFAULT_MAX_RECORDS
 
     def __post_init__(self) -> None:
@@ -313,14 +323,16 @@ class SamplingObserver:
         self.wcb_events = 0
         # Per-line fetch-sector counts at access samples (hot lines).
         self._line_fetches: Dict[int, List] = {}
-        # Record columns (python lists; arrays built on demand).
-        self._rec: Dict[str, List] = {
-            k: [] for k in ("row", "addr", "size", "stream_id",
-                            "is_write", "level", "channel")}
+        # Record columns, filled up to _n_rec.
+        self._rec: Dict[str, np.ndarray] = {
+            k: np.empty(self.config.max_records, dtype=dtype)
+            for k, dtype in _RECORD_DTYPES}
+        self._n_rec = 0
         self.records_dropped = 0
         self.skid_dropped = 0
         self.slices = 0
-        self._bypass_cache: Tuple[int, Optional[np.ndarray]] = (-1, None)
+        self._bypass_cache: Tuple[Optional[Tuple[str, ...]],
+                                  Optional[np.ndarray]] = (None, None)
         self.finished = False
 
     # ------------------------------------------------------- ingestion
@@ -387,7 +399,9 @@ class SamplingObserver:
         return row
 
     def _bypass_column(self, segment: BatchTrace) -> Optional[np.ndarray]:
-        key = id(segment.streams)
+        # Keyed on the names, not id(): a new tuple can reuse a freed
+        # one's address.
+        key = segment.streams
         cached_key, cached = self._bypass_cache
         if cached_key == key:
             per_stream = cached
@@ -539,11 +553,12 @@ class SamplingObserver:
         :meth:`CacheSim.access_batch_probed` call with the non-bypassed
         sample rows as the watch set — the returned per-sector
         pre-states are exactly what :meth:`CacheSim.probe` would have
-        reported before each sampled row. WCB plane: bypassed stores
-        are applied with :meth:`CacheSim._bypass_batch` slices between
-        bypassed sample rows, each sampled with the same pre-row
-        write-combining walk as the scalar path. Counters and records
-        are then applied in sample-row order, reproducing
+        reported before each sampled row. WCB plane: every bypassed
+        store goes through one :meth:`CacheSim.bypass_batch_probed`
+        call with the bypassed sample rows as the watch set — the
+        returned sector completions are exactly what the pre-row
+        write-combining walk in :meth:`_sample` counts. Counters and
+        records are then applied in sample-row order, reproducing
         :meth:`_sample` bit for bit.
         """
         sim = self.sim
@@ -590,36 +605,14 @@ class SamplingObserver:
                                    LEVEL_CACHE)
         level[s_byp] = LEVEL_WCB
 
-        # WCB plane: bypassed stores, sliced at bypassed sample rows.
+        # WCB plane: every bypassed store in one probed call.
         if byp is not None:
             b_idx = np.flatnonzero(byp)
             if b_idx.size:
-                granule = sim.granule
-                e_addr, e_size, _, e_rows = expand_to_sectors(
-                    addr[b_idx], size[b_idx], is_write[b_idx], b_idx,
-                    granule)
-                cursor = 0
-                for i in np.flatnonzero(s_byp).tolist():
-                    p = int(srows[i])
-                    j = int(np.searchsorted(e_rows, p))
-                    if j > cursor:
-                        sim._bypass_batch(e_addr[cursor:j],
-                                          e_size[cursor:j])
-                        self.slices += 1
-                    cursor = j
-                    # Pre-row write-combining walk, as in _sample.
-                    wcb_new = 0
-                    a, end_a = int(addr[p]), int(addr[p]) + int(size[p])
-                    while a < end_a:
-                        sector_end = (a // granule + 1) * granule
-                        chunk = min(end_a, sector_end) - a
-                        if sim.wcb_gathered_bytes(a) + chunk >= granule:
-                            wcb_new += 1
-                        a = min(end_a, sector_end)
-                    dirty_new[i] = wcb_new
-                if cursor < e_rows.size:
-                    sim._bypass_batch(e_addr[cursor:], e_size[cursor:])
-                    self.slices += 1
+                dirty_new[s_byp] = sim.bypass_batch_probed(
+                    addr[b_idx], size[b_idx],
+                    np.searchsorted(b_idx, srows[s_byp]))
+                self.slices += 1
 
         # Counters and records, in sample-row order.
         acc_bit = (smask & (1 << CHANNEL_ACCESS)) != 0
@@ -639,18 +632,19 @@ class SamplingObserver:
         self.n_store_samples += int(np.count_nonzero(st_bit))
         self.wcb_events += int(dirty_new[st_bit & s_byp].sum())
         self.dirty_events += int(dirty_new[st_bit & ~s_byp].sum())
-        space = self.config.max_records - len(self._rec["row"])
-        k = min(max(space, 0), int(srows.size))
+        k = min(self.config.max_records - self._n_rec, int(srows.size))
         if k:
             keep = srows[:k]
+            out = slice(self._n_rec, self._n_rec + k)
             rec = self._rec
-            rec["row"].extend((base + keep).tolist())
-            rec["addr"].extend(addr[keep].tolist())
-            rec["size"].extend(size[keep].tolist())
-            rec["stream_id"].extend(segment.stream_id[keep].tolist())
-            rec["is_write"].extend(is_write[keep].tolist())
-            rec["level"].extend(level[:k].tolist())
-            rec["channel"].extend(smask[:k].tolist())
+            rec["row"][out] = base + keep
+            rec["addr"][out] = addr[keep]
+            rec["size"][out] = size[keep]
+            rec["stream_id"][out] = segment.stream_id[keep]
+            rec["is_write"][out] = is_write[keep]
+            rec["level"][out] = level[:k]
+            rec["channel"][out] = smask[:k]
+            self._n_rec += k
         self.records_dropped += int(srows.size) - k
 
     def _sample(self, channels: int, row: int, addr: int, size: int,
@@ -701,15 +695,17 @@ class SamplingObserver:
                 self.dirty_events += dirty_new
         # One record per sample, shared when both channels landed on
         # the same row.
-        if len(self._rec["row"]) < self.config.max_records:
+        i = self._n_rec
+        if i < self.config.max_records:
             rec = self._rec
-            rec["row"].append(row)
-            rec["addr"].append(addr)
-            rec["size"].append(size)
-            rec["stream_id"].append(stream_id)
-            rec["is_write"].append(is_write)
-            rec["level"].append(level)
-            rec["channel"].append(channels)
+            rec["row"][i] = row
+            rec["addr"][i] = addr
+            rec["size"][i] = size
+            rec["stream_id"][i] = stream_id
+            rec["is_write"][i] = is_write
+            rec["level"][i] = level
+            rec["channel"][i] = channels
+            self._n_rec = i + 1
         else:
             self.records_dropped += 1
 
@@ -750,16 +746,7 @@ class SamplingObserver:
 
     def records(self) -> Dict[str, np.ndarray]:
         """Columnar sample records (copies)."""
-        rec = self._rec
-        return {
-            "row": np.asarray(rec["row"], dtype=np.int64),
-            "addr": np.asarray(rec["addr"], dtype=np.int64),
-            "size": np.asarray(rec["size"], dtype=np.int64),
-            "stream_id": np.asarray(rec["stream_id"], dtype=np.int16),
-            "is_write": np.asarray(rec["is_write"], dtype=bool),
-            "level": np.asarray(rec["level"], dtype=np.uint8),
-            "channel": np.asarray(rec["channel"], dtype=np.uint8),
-        }
+        return {k: col[:self._n_rec].copy() for k, col in self._rec.items()}
 
     def hot_lines(self, top: int = 10) -> List[Dict[str, object]]:
         """Per-address heatmap: the cache lines with the largest
@@ -783,7 +770,7 @@ class SamplingObserver:
 
     @property
     def records_kept(self) -> int:
-        return len(self._rec["row"])
+        return self._n_rec
 
     def overhead(self) -> Dict[str, int]:
         """Observer-side cost counters (the "overhead" axis of the

@@ -227,6 +227,46 @@ class TestBatchDifferential:
             batch.access_batch(*one)
         assert full_state(batch) == full_state(oracle)
 
+    @given(trace=st.lists(st.tuples(
+        st.integers(0, 20_000),         # addr (~300 sectors: overflows)
+        st.sampled_from([1, 4, 8, 16, 64, 3, 60, 100, 200]),  # size
+        st.booleans()),                 # watched
+        min_size=1, max_size=300),
+        repeat=st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_bypass_batch_probed_matches_scalar_walk(self, trace, repeat):
+        # Per watched row: sectors completed against the pre-row buffer
+        # (the sampling observer's wcb_gathered_bytes walk); the buffer
+        # and traffic must end as the scalar path leaves them.
+        trace = [t for t in trace for _ in range(repeat)]
+        addr = np.array([t[0] for t in trace], dtype=np.int64)
+        size = np.array([t[1] for t in trace], dtype=np.int64)
+        watch = [i for i, t in enumerate(trace) if t[2]]
+        oracle = CacheSim(SMALL)
+        expected = []
+        for i, (a, sz, watched) in enumerate(trace):
+            if watched:
+                done, end = 0, a + sz
+                while a < end:
+                    nxt = min(end, (a // 64 + 1) * 64)
+                    done += oracle.wcb_gathered_bytes(a) + nxt - a >= 64
+                    a = nxt
+                expected.append(done)
+            oracle.access(int(addr[i]), int(size[i]), True, bypass=True)
+        batch = CacheSim(SMALL)
+        got = batch.bypass_batch_probed(addr, size, watch)
+        assert got.tolist() == expected
+        assert full_state(batch) == full_state(oracle)
+
+    def test_bypass_batch_probed_rejects_bad_input(self):
+        sim = CacheSim(SMALL)
+        with pytest.raises(SimulationError, match="out of range"):
+            sim.bypass_batch_probed(np.array([0]), np.array([8]), [1])
+        with pytest.raises(SimulationError, match="equal lengths"):
+            sim.bypass_batch_probed(np.array([0, 8]), np.array([8]), [])
+        with pytest.raises(SimulationError, match="positive"):
+            sim.bypass_batch_probed(np.array([0]), np.array([0]), [0])
+
     def test_expand_to_sectors_matches_manual_split(self):
         addr = np.array([0, 60, 127, 128, 1000], dtype=np.int64)
         size = np.array([8, 8, 2, 64, 200], dtype=np.int64)

@@ -26,6 +26,7 @@ from repro.engine.envconfig import (
 )
 from repro.engine.exact import ExactEngine
 from repro.engine.pipeline import PipelinedExactEngine
+from repro.engine.stream import BatchTrace
 from repro.errors import PapiNoEvent, SimulationError
 from repro.kernels import Gemm, StreamKernel
 from repro.machine.config import CacheConfig
@@ -351,9 +352,10 @@ def _assert_identical(scalar, vector):
     for field in ("row", "addr", "size", "stream_id", "is_write",
                   "level", "channel"):
         np.testing.assert_array_equal(v_rec[field], s_rec[field], field)
-    for attr in ("n_samples", "n_store_samples", "accesses_observed",
-                 "stores_observed", "records_kept", "records_dropped",
-                 "skid_dropped"):
+    for attr in ("n_samples", "n_access_samples", "n_store_samples",
+                 "fetch_sectors", "dirty_events", "wcb_events",
+                 "accesses_observed", "stores_observed", "records_kept",
+                 "records_dropped", "skid_dropped"):
         assert getattr(vector, attr) == getattr(scalar, attr), attr
     assert vector.estimated_traffic() == scalar.estimated_traffic()
     assert vector.exact_traffic() == scalar.exact_traffic()
@@ -400,7 +402,7 @@ class TestVectorizedReplay:
         # within one set, which the batched probe cannot see; such
         # segments must fall back to the scalar slice replay — and
         # still match the oracle bit for bit.
-        from repro.engine.stream import BatchTrace, StreamDecl
+        from repro.engine.stream import StreamDecl
 
         tiny = CacheConfig(capacity_bytes=1024, line_bytes=128,
                            associativity=2)  # 4 sets
@@ -448,14 +450,17 @@ class TestVectorizedReplay:
             results.append(obs)
         _assert_identical(*results)
 
-    def test_cli_scalar_replay_flag(self, capsys):
+    @pytest.mark.parametrize("kernel,size", [("gemm", "16"),
+                                             ("stream-triad", "2048")],
+                             ids=["gemm", "stream-triad"])
+    def test_cli_scalar_replay_flag(self, capsys, kernel, size):
         import json
 
         from repro.cli import main
 
         outputs = {}
         for flag in ([], ["--scalar-replay"]):
-            rc = main(["sample", "--kernel", "gemm", "--size", "16",
+            rc = main(["sample", "--kernel", kernel, "--size", size,
                        "--cache-kib", "16", "--period", "8", "--seed",
                        "3", "--json"] + flag)
             assert rc == 0
@@ -464,6 +469,119 @@ class TestVectorizedReplay:
         assert outputs[True]["replay"] == "scalar"
         for key in ("estimated", "exact", "levels", "hot_lines"):
             assert outputs[False][key] == outputs[True][key]
+
+
+    def test_wcb_pre_row_state_survives_own_overflow_drain(self):
+        # A bypassed row spanning sectors S and S+64 opens a new buffer
+        # entry for S into a full write-combining buffer; the overflow
+        # drain evicts the oldest entry, which is the row's own second
+        # sector. The sample must still judge S+64 by its pre-row fill
+        # (60 B + 4 B completes it), not by the drained buffer.
+        granule = SMALL_CACHE.granule_bytes
+        assert granule == 64
+        s = 0
+        addr = ([s + 64]                                   # 60 B, oldest
+                + [s + 64 * (k + 2) for k in range(63)]    # 63 others
+                + [s + 60])                                # spans S, S+64
+        size = [60] + [8] * 63 + [8]
+        n = len(addr)
+        trace = BatchTrace(streams=("src0", "src1", "dst"),
+                           stream_id=np.full(n, 2), addr=addr, size=size,
+                           is_write=np.ones(n, dtype=bool))
+        decls = StreamKernel("triad", 64).streams()
+        results = []
+        for vectorized in (False, True):
+            obs = SamplingObserver(
+                SMALL_CACHE, decls,
+                SamplingConfig(period=1, store_period=1, skid=0,
+                               skid_jitter=0, seed=0),
+                vectorized=vectorized)
+            obs.observe(trace)
+            obs.finish()
+            results.append(obs)
+        scalar, vector = results
+        assert scalar.n_store_samples == n
+        assert scalar.wcb_events == 1
+        _assert_identical(scalar, vector)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 600),
+           repeat=st.integers(1, 12),
+           addr_span=st.sampled_from([1 << 10, 1 << 13, 1 << 16]),
+           store_frac=st.sampled_from([0.3, 0.7, 1.0]),
+           segment_rows=st.integers(1, 200),
+           period=st.integers(1, 12),
+           store_period=st.integers(1, 6),
+           skid=st.integers(0, 5),
+           skid_jitter=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_wcb_plane_matches_scalar_on_irregular_stores(
+            self, seed, n, repeat, addr_span, store_frac, segment_rows,
+            period, store_period, skid, skid_jitter):
+        # Bypassed stores of 1-200 B, half of them granule divisors
+        # and half aligned to their own size (the closed-form runs),
+        # the rest misaligned, non-divisor or multi-sector (the scalar
+        # fallback). Rows repeat up to 12 times in a row, so same-
+        # sector runs wrap past a completion; wide spans overflow the
+        # 64-entry buffer; segments end mid-sector.
+        rng = np.random.default_rng(seed)
+        m = -(-n // repeat)
+        size = np.where(rng.random(m) < 0.5,
+                        rng.choice([1, 2, 4, 8, 16, 32, 64], size=m),
+                        rng.integers(1, 201, size=m))
+        addr = rng.integers(0, addr_span, size=m)
+        addr = np.where(rng.random(m) < 0.5, addr - addr % size, addr)
+        is_store = rng.random(m) < store_frac
+        stream_id = np.where(is_store, 2, rng.integers(0, 2, size=m))
+        trace = BatchTrace(
+            streams=("src0", "src1", "dst"),
+            stream_id=np.repeat(stream_id, repeat)[:n],
+            addr=np.repeat(addr, repeat)[:n],
+            size=np.repeat(size, repeat)[:n],
+            is_write=np.repeat(is_store, repeat)[:n])
+        decls = StreamKernel("triad", 64).streams()
+        results = []
+        for vectorized in (False, True):
+            obs = SamplingObserver(
+                SMALL_CACHE, decls,
+                SamplingConfig(period=period,
+                               period_jitter=min(period - 1, 2),
+                               store_period=store_period,
+                               store_jitter=min(store_period - 1, 1),
+                               skid=skid, skid_jitter=skid_jitter,
+                               seed=seed),
+                vectorized=vectorized)
+            for lo in range(0, n, segment_rows):
+                obs.observe(trace.rows(lo, min(n, lo + segment_rows)))
+            obs.finish()
+            results.append(obs)
+        _assert_identical(*results)
+
+    def test_bypass_mask_follows_stream_order_not_tuple_identity(self):
+        # A freed streams tuple's address can be reused by a new tuple
+        # with another stream order; the per-stream bypass mask cached
+        # for the old order must not be applied to it.
+        kernel = StreamKernel("triad", 4096)
+        reference = SamplingObserver(SMALL_CACHE, kernel.streams(),
+                                     SamplingConfig(period=8, seed=2))
+        observer = SamplingObserver(SMALL_CACHE, kernel.streams(),
+                                    SamplingConfig(period=8, seed=2))
+        for i, segment in enumerate(kernel.segments(1024)):
+            reference.observe(segment)
+            names = list(segment.streams)
+            stream_id = segment.stream_id
+            if i % 2:
+                names.reverse()
+                stream_id = len(names) - 1 - stream_id
+            relabelled = BatchTrace(
+                streams=tuple(names), stream_id=stream_id,
+                addr=segment.addr, size=segment.size,
+                is_write=segment.is_write)
+            observer.observe(relabelled)
+            del relabelled
+        reference.finish()
+        observer.finish()
+        assert observer.exact_traffic() == reference.exact_traffic()
 
 
 class TestTriggerArrays:
