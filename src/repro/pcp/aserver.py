@@ -1,9 +1,9 @@
-"""Asyncio multi-tenant PMCD fabric.
+"""Asyncio multi-tenant PMCD fabric: the TCP service layer.
 
-The threaded :class:`~repro.pcp.server.PMCDServer` proves the process
-boundary with one thread per client — fine for tens of clients, not
-for thousands. This module is the same daemon rebuilt as a service
-fabric:
+The in-process :class:`~repro.pcp.pmcd.PMCD` captures the daemon;
+this module puts it behind a real socket so the measurement path
+crosses a process-style boundary — the defining property of the PCP
+approach — without needing several OS processes:
 
 * **asyncio TCP front-end** — every client connection is a coroutine
   on one event loop, so thousands of concurrent
@@ -16,8 +16,7 @@ fabric:
   own shard;
 * **per-shard request coalescing** — a shard worker drains its queue
   in batches and identical concurrent pmid-tuples share one PMDA
-  read, exactly the invariant the threaded server's dispatcher
-  enforced globally;
+  read;
 * **hybrid executor offload** — domains named in ``executor_domains``
   have their PMDA reads pushed to a concurrent.futures executor (a
   thread pool by default; pass a process pool for picklable
@@ -31,16 +30,22 @@ fabric:
   supervisor requeues the jobs it had claimed and restarts the
   worker, so clients observe latency, never a lost request.
 
-Faults from :class:`~repro.pcp.faults.FaultInjector` apply at the
-same two sites as the threaded server: per served response
-(drop/slow/truncate) and — new — per PMDA read
-(:attr:`~repro.pcp.faults.FaultKind.SLOW_PMDA`).
+Faults from :class:`~repro.pcp.faults.FaultInjector` apply at two
+sites: per served response (drop/slow/truncate) and per PMDA read
+(:attr:`~repro.pcp.faults.FaultKind.SLOW_PMDA`). Because each
+connection owns its coroutine and writes only its own socket,
+responses cannot cross wires between clients by construction.
+
+Encoding: one JSON object per line, ``{"type": <RequestClass>,
+**fields}`` → ``{"type": <ResponseClass>, **fields}`` (codec in
+:mod:`repro.pcp.protocol`).
 
 The fabric runs inside one event loop; :meth:`start_in_thread` hosts
-that loop on a daemon thread so synchronous code (tests, the CLI, the
-threaded stress harness) can stand up a fabric and talk to it over
-TCP. Everything here is Python 3.9-compatible (no ``asyncio.timeout``
-or ``TaskGroup``).
+that loop on a daemon thread so synchronous code (tests, examples,
+sync :class:`~repro.pcp.session.PcpSession` clients over
+:class:`~repro.pcp.session.RemoteTransport`) can stand up a fabric and
+talk to it over TCP. Everything here is Python 3.9-compatible (no
+``asyncio.timeout`` or ``TaskGroup``).
 """
 
 from __future__ import annotations
@@ -61,15 +66,14 @@ from .pmda import pmid_domain
 class FabricStats:
     """Counters for the asyncio service layer.
 
-    Snapshot keys are a superset of the threaded
-    :class:`~repro.pcp.server.ServiceStats` (``coalesced``,
-    ``max_queue_depth``, ``latency_max_usec``, ...) so the ``pmcd.
-    service.*`` self-metrics read identically against either server.
+    The ``pmcd.service.*`` self-metrics (:class:`~repro.pcp.pmda.
+    PmcdPMDA`) read ``coalesced``, ``max_queue_depth`` and
+    ``latency_max_usec`` from :meth:`snapshot`.
     """
 
     _FIELDS = ("requests", "responses", "batches", "coalesced",
                "max_queue_depth", "connections", "disconnects", "faults",
-               "dispatch_timeouts", "shard_kills", "shard_restarts",
+               "shard_kills", "shard_restarts",
                "requeued_jobs", "executor_reads", "archive_fetches")
 
     def __init__(self) -> None:
@@ -164,22 +168,28 @@ class AsyncPMCDServer:
     async def start(self) -> "AsyncPMCDServer":
         self._loop = asyncio.get_event_loop()
         self._stopping = False
+        # Bind first: a busy port must fail before any shard task or
+        # executor exists, so a failed start leaves nothing behind.
+        self._server = await asyncio.start_server(
+            self._serve_client, self.host, self.port, start_serving=False)
+        sockname = self._server.sockets[0].getsockname()
+        self.address = (sockname[0], sockname[1])
         if self._own_executor:
             self._executor = ThreadPoolExecutor(
                 max_workers=max(1, len(self.executor_domains)),
                 thread_name_prefix="pmda-shard")
         for agent in self.pmcd.agents:
             self._spawn_shard(agent.domain)
-        self._server = await asyncio.start_server(
-            self._serve_client, self.host, self.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
+        await self._server.start_serving()
         return self
 
     async def stop(self) -> None:
         self._stopping = True
         if self._server is not None:
             self._server.close()
+            # Drop clients before waiting: from Python 3.12.1 on,
+            # wait_closed() also waits for every open connection.
+            self._drop_all_connections()
             await self._server.wait_closed()
             self._server = None
         for task in list(self._supervisors.values()):
@@ -191,7 +201,6 @@ class AsyncPMCDServer:
                              return_exceptions=True)
         self._supervisors.clear()
         self._workers.clear()
-        self._drop_all_connections()
         if self._own_executor and self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
@@ -250,6 +259,7 @@ class AsyncPMCDServer:
                 loop.run_until_complete(self.start())
             except BaseException as exc:  # surface bind errors
                 failure.append(exc)
+                loop.close()
                 started.set()
                 return
             started.set()
@@ -263,7 +273,9 @@ class AsyncPMCDServer:
         if not started.wait(timeout=10):
             raise PCPError("fabric event loop failed to start")
         if failure:
+            self._thread.join(timeout=10)
             self._thread = None
+            self._thread_loop = None
             raise failure[0]
         return self
 

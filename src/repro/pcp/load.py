@@ -1,11 +1,9 @@
 """pcp-load: asyncio load harness for the PMCD fabric.
 
-Where ``pcp-stress`` proves the *threaded* service layer correct under
-tens of clients, ``pcp-load`` drives the asyncio fabric
-(:mod:`repro.pcp.aserver`) at service scale: hundreds of concurrent
-:class:`~repro.pcp.session.AsyncPcpSession` contexts, each pipelining
-fetch PDUs over its own TCP connection, sustained for a wall-clock
-window — with fault injection running *during* the load:
+``pcp-load`` drives the asyncio fabric (:mod:`repro.pcp.aserver`) at
+service scale: hundreds of concurrent :class:`~repro.pcp.session.
+AsyncPcpSession` contexts, each pipelining fetch PDUs over its own TCP
+connection, sustained for a wall-clock window — with fault injection running *during* the load:
 
 * **shard-worker kill** — :meth:`AsyncPMCDServer.kill_shard` cancels
   the perfevent shard mid-batch at scheduled points; the supervisor

@@ -99,8 +99,8 @@ class PMCD:
         self.generation = 0
         self.boot_id = 0
         self.stats = PMCDStats()
-        #: Optional :class:`~repro.pcp.server.ServiceStats` attached by
-        #: the TCP service layer (exported via pmcd.service.* metrics).
+        #: Optional :class:`~repro.pcp.aserver.FabricStats` attached by
+        #: the TCP service fabric (exported via pmcd.service.* metrics).
         self.service_stats = None
         #: Optional :class:`~repro.pcp.archive.MetricArchive` serving
         #: ArchiveFetchRequest replay (attach via :meth:`attach_archive`).

@@ -1,4 +1,4 @@
-"""End-to-end tests for ``repro.cli bench`` and the pcp-stress gate."""
+"""End-to-end tests for ``repro.cli bench`` and the pcp-load gate."""
 
 import json
 
@@ -121,42 +121,41 @@ def test_bench_listed_in_cli_index(capsys):
     assert "bench" in capsys.readouterr().out
 
 
-# ------------------------------------------------------------ pcp-stress
+# -------------------------------------------------------------- pcp-load
 
 
-HEALTHY_STRESS = {
-    "clients": 2,
-    "clients_completed": 2,
+HEALTHY_LOAD = {
+    "contexts": 2,
     "errors": [],
     "cross_wired": 0,
     "non_monotone_timestamps": 0,
     "unrecovered_faults": 0,
+    "archive_corruption": None,
 }
 
 
-def _patch_stress(monkeypatch, **overrides):
-    import repro.pcp.stress as stress
+def _patch_load(monkeypatch, **overrides):
+    import repro.pcp.load as load
 
-    fake_report = dict(HEALTHY_STRESS, **overrides)
+    fake_report = dict(HEALTHY_LOAD, **overrides)
     monkeypatch.setattr(
-        stress, "run_stress", lambda **kwargs: dict(fake_report)
+        load, "run_load", lambda **kwargs: dict(fake_report)
     )
 
 
-def test_pcp_stress_healthy_run_exits_zero(monkeypatch, capsys):
-    _patch_stress(monkeypatch)
-    assert main(["pcp-stress", "--json"]) == 0
+def test_pcp_load_healthy_run_exits_zero(monkeypatch, capsys):
+    _patch_load(monkeypatch)
+    assert main(["pcp-load", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["unrecovered_faults"] == 0
 
 
-def test_pcp_stress_unrecovered_fault_exits_nonzero(monkeypatch, capsys):
-    _patch_stress(
+def test_pcp_load_unrecovered_fault_exits_nonzero(monkeypatch, capsys):
+    _patch_load(
         monkeypatch,
         unrecovered_faults=1,
-        clients_completed=1,
-        errors=["client 1: still alive after join timeout"],
+        errors=["context 1: connection to pmcd lost"],
     )
-    assert main(["pcp-stress", "--json"]) == 1
+    assert main(["pcp-load", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["unrecovered_faults"] == 1
 

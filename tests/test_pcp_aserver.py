@@ -2,11 +2,14 @@
 
 Covers the fabric's service invariants directly — shard coalescing,
 supervisor-driven worker recovery, executor offload, the v2 handshake
-and archive serving over TCP — plus the disconnect-accounting
-regression shared with the threaded server.
+and archive serving over TCP, thread hosting for sync clients and the
+disconnect-accounting regression.
 """
 
 import asyncio
+import gc
+import socket
+import time
 import warnings
 
 import pytest
@@ -19,7 +22,8 @@ from repro.pcp.archive import MetricArchive
 from repro.pcp.aserver import AsyncPMCDServer, FabricStats
 from repro.pcp.faults import FaultInjector
 from repro.pcp.pmcd import start_pmcd_for_node
-from repro.pcp.server import PMCDServer, RemoteTransport, ServiceStats
+from repro.pcp.pmda import PmcdPMDA
+from repro.pcp.session import RemoteTransport
 from repro.pmu.events import pcp_metric_name
 
 METRIC = pcp_metric_name(0, write=False)
@@ -215,9 +219,35 @@ class TestThreadedHosting:
         finally:
             server.stop_in_thread()
 
+    def test_failed_bind_leaves_nothing_behind(self, pmcd, node):
+        """A busy port fails the start before any shard task exists,
+        the runner closes its loop, and the same object then starts
+        cleanly on a free port."""
+        busy = socket.socket()
+        busy.bind(("127.0.0.1", 0))
+        busy.listen(1)
+        server = AsyncPMCDServer(pmcd, port=busy.getsockname()[1])
+        gc.collect()  # earlier tests' garbage must not warn in here
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(OSError):
+                    server.start_in_thread()
+                assert server._supervisors == {}
+                server.port = 0
+                server.start_in_thread()
+                gc.collect()
+            assert [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)] == []
+            with connect(server, node=node) as session:
+                assert session.fetch_one(METRIC, "cpu87") >= 0
+        finally:
+            server.stop_in_thread()
+            busy.close()
+
 
 class TestDisconnectAccounting:
-    """One disconnect per socket close — both service layers.
+    """One disconnect per socket close — sync and async clients.
 
     Regression: the drop-connection fault path and the reader-loop
     unwind both unregistered the same socket, double-counting
@@ -227,7 +257,8 @@ class TestDisconnectAccounting:
     def test_threaded_server_counts_drop_once(self, pmcd, node):
         injector = FaultInjector()
         injector.drop_connections(1)
-        server = PMCDServer(pmcd, fault_injector=injector).start()
+        server = AsyncPMCDServer(
+            pmcd, fault_injector=injector).start_in_thread()
         try:
             transport = RemoteTransport(*server.address,
                                         round_trip_seconds=0.0,
@@ -241,12 +272,11 @@ class TestDisconnectAccounting:
                    < server.stats.snapshot()["connections"]
                    and deadline):
                 deadline -= 1
-                import time
                 time.sleep(0.01)
             stats = server.stats.snapshot()
             assert stats["disconnects"] == stats["connections"]
         finally:
-            server.stop()
+            server.stop_in_thread()
 
     def test_fabric_counts_drop_once(self, pmcd):
         injector = FaultInjector()
@@ -275,10 +305,19 @@ class TestDisconnectAccounting:
 
 
 class TestFabricStats:
-    def test_snapshot_superset_of_threaded_service_stats(self):
-        fabric_keys = set(FabricStats().snapshot())
-        threaded_keys = set(ServiceStats().snapshot())
-        assert threaded_keys <= fabric_keys
+    def test_snapshot_serves_every_pmcd_service_metric(self, pmcd):
+        """Every key the pmcd.service.* self-metrics read is present
+        in the fabric's snapshot (a missing one would read as 0)."""
+        pmcd.service_stats = FabricStats()
+        pmcd.service_stats.coalesced = 3
+        pmcd.service_stats.max_queue_depth = 5
+        pmcd.service_stats.record_latency(0.002)
+        pmda = PmcdPMDA(pmcd)
+        served = {name.rsplit(".", 1)[-1]: pmda.fetch(pmid)["pmcd"]
+                  for name, pmid in pmda.metric_table()
+                  if name.startswith("pmcd.service.")}
+        assert served == {"coalesced": 3, "max_queue_depth": 5,
+                          "latency_max_usec": 2000}
 
     def test_latency_accounting(self):
         stats = FabricStats()

@@ -6,17 +6,19 @@ PCPError), truncated PDUs, and daemon restart mid-session (gap flag,
 never corrupted counters).
 """
 
+import time
+
 import pytest
 
 from repro.errors import PCPError, PCPTimeout
 from repro.machine.config import SUMMIT
 from repro.machine.node import Node
 from repro.noise import QUIET
-from repro.pcp.client import PmapiContext
+from repro.pcp import connect
+from repro.pcp.aserver import AsyncPMCDServer
 from repro.pcp.faults import FaultInjector, FaultKind
 from repro.pcp.pmcd import start_pmcd_for_node
-from repro.pcp.pmlogger import PmLogger
-from repro.pcp.server import PMCDServer, RemotePMCD
+from repro.pcp.session import RemoteTransport
 from repro.pmu.events import pcp_metric_name
 
 METRIC = pcp_metric_name(0, write=False)
@@ -34,15 +36,15 @@ def faults():
 
 @pytest.fixture
 def server(node, faults):
-    server = PMCDServer(start_pmcd_for_node(node),
-                        fault_injector=faults).start()
+    server = AsyncPMCDServer(start_pmcd_for_node(node),
+                             fault_injector=faults).start_in_thread()
     yield server
-    server.stop()
+    server.stop_in_thread()
 
 
 def _remote(server, **kwargs):
     kwargs.setdefault("round_trip_seconds", 0.0)
-    return RemotePMCD(*server.address, **kwargs)
+    return RemoteTransport(*server.address, **kwargs)
 
 
 class TestFaultInjector:
@@ -71,7 +73,7 @@ class TestFaultInjector:
 class TestDroppedConnection:
     def test_drop_without_reconnect_raises(self, server, faults):
         remote = _remote(server, auto_reconnect=False)
-        client = PmapiContext(remote)
+        client = connect(remote)
         pmids = client.lookup_names([METRIC])
         faults.drop_connections(1)
         with pytest.raises(PCPError):
@@ -81,7 +83,7 @@ class TestDroppedConnection:
     def test_drop_with_reconnect_recovers(self, server, faults):
         remote = _remote(server, auto_reconnect=True, max_retries=3,
                          backoff_base_seconds=0.005)
-        client = PmapiContext(remote)
+        client = connect(remote)
         pmids = client.lookup_names([METRIC])
         faults.drop_connections(1)
         values = client.fetch(pmids)
@@ -94,7 +96,7 @@ class TestDroppedConnection:
 class TestTruncatedPDU:
     def test_truncated_pdu_is_pcp_error(self, server, faults):
         remote = _remote(server, auto_reconnect=False)
-        client = PmapiContext(remote)
+        client = connect(remote)
         faults.truncate_pdus(1)
         with pytest.raises(PCPError):
             client.lookup_names([METRIC])
@@ -103,7 +105,7 @@ class TestTruncatedPDU:
     def test_truncated_pdu_recovers_with_reconnect(self, server, faults):
         remote = _remote(server, auto_reconnect=True, max_retries=3,
                          backoff_base_seconds=0.005)
-        client = PmapiContext(remote)
+        client = connect(remote)
         faults.truncate_pdus(1)
         assert client.lookup_names([METRIC])
         assert remote.reconnects >= 1
@@ -115,7 +117,7 @@ class TestTimeoutRetryBackoff:
             self, server, faults):
         remote = _remote(server, request_timeout=0.08, max_retries=2,
                          backoff_base_seconds=0.01)
-        client = PmapiContext(remote)
+        client = connect(remote)
         pmids = client.lookup_names([METRIC])
         # Every attempt (1 original + 2 retries) hits a slow response
         # far beyond the request deadline.
@@ -129,7 +131,7 @@ class TestTimeoutRetryBackoff:
     def test_timeout_then_recovery(self, server, faults):
         remote = _remote(server, request_timeout=0.08, max_retries=2,
                          backoff_base_seconds=0.01)
-        client = PmapiContext(remote)
+        client = connect(remote)
         pmids = client.lookup_names([METRIC])
         faults.slow_responses(1, seconds=0.5)  # only the first attempt
         values = client.fetch(pmids)
@@ -144,7 +146,7 @@ class TestTimeoutRetryBackoff:
         answer to a later one."""
         remote = _remote(server, request_timeout=0.08, max_retries=2,
                          backoff_base_seconds=0.01)
-        client = PmapiContext(remote)
+        client = connect(remote)
         pmids = client.lookup_names([METRIC])
         faults.slow_responses(1, seconds=0.3)
         client.fetch(pmids)  # times out once, retried on a fresh socket
@@ -154,11 +156,52 @@ class TestTimeoutRetryBackoff:
         remote.close()
 
 
+    def test_timeout_without_retry_drops_stale_stream(self, server, faults):
+        """With no retry left the timed-out socket must still be
+        dropped: its late response would otherwise answer the next
+        request on the stream."""
+        remote = _remote(server, request_timeout=0.08, max_retries=0)
+        client = connect(remote)
+        pmids = client.lookup_names([METRIC])
+        faults.slow_responses(1, seconds=0.3)
+        with pytest.raises(PCPTimeout):
+            client.children("perfevent")
+        time.sleep(0.4)  # the stale ChildrenResponse has been sent
+        values = client.fetch(pmids)
+        assert set(values) == set(pmids)
+        remote.close()
+
+
+class TestRedial:
+    def test_failed_redial_raises_pcp_error_until_daemon_returns(
+            self, node):
+        """A transport whose every redial failed dials afresh on its
+        next request instead of writing to a torn-down socket."""
+        pmcd = start_pmcd_for_node(node)
+        server = AsyncPMCDServer(pmcd).start_in_thread()
+        port = server.address[1]
+        remote = _remote(server, auto_reconnect=True, max_retries=1,
+                         backoff_base_seconds=0.005)
+        client = connect(remote)
+        pmids = client.lookup_names([METRIC])
+        server.stop_in_thread()
+        for _ in range(2):
+            with pytest.raises(PCPError):
+                client.fetch(pmids)
+        revived = AsyncPMCDServer(pmcd, port=port).start_in_thread()
+        try:
+            assert set(client.fetch(pmids)) == set(pmids)
+            assert remote.reconnects >= 1
+        finally:
+            remote.close()
+            revived.stop_in_thread()
+
+
 class TestDaemonRestart:
     def test_restart_mid_session_sets_gap_flag(self, server, node, faults):
         remote = _remote(server, auto_reconnect=True, max_retries=3,
                          backoff_base_seconds=0.005)
-        client = PmapiContext(remote)
+        client = connect(remote)
         pmids = client.lookup_names([METRIC])
         node.socket(0).record_traffic(read_bytes=8 * 64)
         before = client.fetch(pmids)
@@ -178,7 +221,7 @@ class TestDaemonRestart:
 
     def test_restart_invalidates_lookup_cache(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd, cache_lookups=True)
+        client = connect(pmcd, cache_lookups=True)
         client.lookup_names([METRIC])
         assert client.lookup_names([METRIC])  # served from cache
         assert client.cached_lookups == 1
@@ -192,7 +235,7 @@ class TestDaemonRestart:
 
     def test_in_process_restart_gap(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         pmids = client.lookup_names([METRIC])
         client.fetch(pmids)
         pmcd.restart()
@@ -201,8 +244,8 @@ class TestDaemonRestart:
 
     def test_pmlogger_marks_gap_and_rates_skip_it(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd, node=node)
-        logger = PmLogger(client, [METRIC], interval_seconds=1.0)
+        client = connect(pmcd, node=node)
+        logger = client.log([METRIC], interval_seconds=1.0)
 
         node.socket(0).record_traffic(read_bytes=64 * 64)
         logger.sample()
@@ -231,7 +274,7 @@ class TestDaemonRestart:
 
     def test_stopped_daemon_still_refuses(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         pmcd.running = False
         with pytest.raises(PCPError):
             client.lookup_names([METRIC])
